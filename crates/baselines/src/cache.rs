@@ -60,7 +60,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::Path;
 
 use amrm_model::{AppRef, Job};
@@ -222,8 +222,8 @@ impl MappingCache {
     ///
     /// Returns any I/O error from creating or writing the file.
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = File::create(path)?;
-        serde_json::to_writer(BufWriter::new(file), self).map_err(std::io::Error::other)
+        let text = serde_json::to_string(self).map_err(std::io::Error::other)?;
+        std::fs::write(path, text)
     }
 
     /// Loads a cache written by [`save`](MappingCache::save). Every
@@ -540,5 +540,11 @@ mod tests {
         assert!(!sig.matches(&retimed));
         let moved_deadline = Job::new(JobId(1), app("alpha", 3.5), 0.0, 9.5, 1.0);
         assert!(!sig.matches(&moved_deadline));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn saving_to_a_full_device_is_an_error() {
+        assert!(MappingCache::new().save("/dev/full").is_err());
     }
 }

@@ -1,11 +1,10 @@
 //! Machine-readable performance baselines.
 //!
 //! [`summarize`] condenses a [`SuiteEvaluation`] into per-scheduler
-//! feasibility, energy and search-time aggregates; [`write_json`] persists
-//! them (conventionally to `BENCH_baseline.json` in the repo root) so
-//! later changes have a recorded trajectory to compare against.
+//! feasibility, energy and search-time aggregates; [`crate::write_json`]
+//! persists them (conventionally to `BENCH_baseline.json` in the repo
+//! root) so later changes have a recorded trajectory to compare against.
 
-use std::io::BufWriter;
 use std::path::Path;
 
 use amrm_baselines::EXMEM_NAME;
@@ -165,16 +164,6 @@ pub fn summarize(
     }
 }
 
-/// Writes a baseline as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<Path>, baseline: &PerfBaseline) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(BufWriter::new(file), baseline).map_err(std::io::Error::other)
-}
-
 /// Reads a baseline back from JSON.
 ///
 /// # Errors
@@ -299,7 +288,7 @@ mod tests {
             amrm_core::SearchBudget::unbounded(),
         );
         let path = std::env::temp_dir().join("amrm_baseline_roundtrip.json");
-        write_json(&path, &baseline).unwrap();
+        crate::write_json(&path, &baseline).unwrap();
         let back = read_json(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(back.seed, 13);

@@ -297,17 +297,6 @@ pub fn exact_report(report: &ExactReport) -> String {
     out
 }
 
-/// Writes an exact-path report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<Path>, report: &ExactReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,7 +361,7 @@ mod tests {
     fn report_roundtrips_through_json() {
         let report = run_exact_with(true, 3, 6, None, None).unwrap();
         let path = std::env::temp_dir().join("amrm_exact_roundtrip.json");
-        write_json(&path, &report).unwrap();
+        crate::write_json(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: ExactReport = serde_json::from_str(&text).unwrap();

@@ -28,11 +28,12 @@
 //! * [`baseline`] — condenses an evaluation into the machine-readable
 //!   perf baseline (`BENCH_baseline.json`).
 //!
-//! The `repro` binary drives all of them; Criterion benches under
-//! `benches/` measure steady-state scheduler overhead (Fig. 4), the
-//! execution-engine hot path, and ablations. Grid-shaped evaluations
-//! share one work-stealing fan-out helper, re-exported here as
-//! [`fanout`].
+//! Every report type serializes through the one artifact writer,
+//! [`write_json`]. The `repro` binary drives all of them; Criterion
+//! benches under `benches/` measure steady-state scheduler overhead
+//! (Fig. 4), the execution-engine hot path, and ablations. Grid-shaped
+//! evaluations share one work-stealing fan-out helper, re-exported here
+//! as [`fanout`].
 
 pub mod ablation;
 pub mod admission;
@@ -49,7 +50,7 @@ pub mod tune;
 pub use amrm_core::fanout;
 
 pub use crate::admission::{admission_grid, admission_report, standard_policies, AdmissionCell};
-pub use crate::baseline::{summarize, write_json, PerfBaseline, SchedulerBaseline};
+pub use crate::baseline::{summarize, PerfBaseline, SchedulerBaseline};
 pub use crate::exact::{exact_report, run_exact, run_exact_with, ExactCell, ExactReport};
 pub use crate::profile::{
     check_floor, profile_report, run_profile, run_profile_with, ProfileCell, ProfileReport,
@@ -61,3 +62,27 @@ pub use crate::shard::{
 pub use crate::sweep::{sweep_grid, sweep_report, SweepCell, SweepReport};
 pub use crate::trace::{run_trace, trace_report, TraceCount, TraceReport, TraceRun};
 pub use crate::tune::{tune_grid, tune_report, TuneOptions, TuneReport};
+
+/// Writes `value` to `path` as pretty-printed JSON: the artifact writer
+/// behind every `repro --json` file.
+///
+/// # Errors
+///
+/// Returns any serialization error or any I/O error from creating or
+/// writing the file.
+pub fn write_json<T: serde::Serialize>(
+    path: impl AsRef<std::path::Path>,
+    value: &T,
+) -> std::io::Result<()> {
+    let text = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
+    std::fs::write(path, text)
+}
+
+#[cfg(test)]
+mod tests {
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn write_json_reports_a_full_device() {
+        assert!(super::write_json("/dev/full", &vec![1u32, 2, 3]).is_err());
+    }
+}

@@ -390,17 +390,6 @@ pub fn shard_report(report: &ShardReport) -> String {
     out
 }
 
-/// Writes a shard report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &ShardReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,7 +471,7 @@ mod tests {
             cells: weak_scaling_grid(&library(), 30, &[2], 3, 2),
         };
         let path = std::env::temp_dir().join("amrm_shard_roundtrip.json");
-        write_json(&path, &report).unwrap();
+        crate::write_json(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: ShardReport = serde_json::from_str(&text).unwrap();

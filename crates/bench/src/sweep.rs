@@ -2,10 +2,10 @@
 //! grid × registry schedulers × admission policies.
 //!
 //! [`sweep_grid`] crosses every registered scheduler with every admission
-//! policy and replays the same seeded Poisson stream shape at each mean
-//! inter-arrival time, producing one [`SweepCell`] per (policy ×
-//! scheduler × load) point. The per-(policy × scheduler) curves are
-//! computed by [`amrm_sim::load_sweep_with`] and the independent curves
+//! policy and replays the same seeded Poisson stream
+//! ([`poisson_stream`]) at each mean inter-arrival time, producing one
+//! [`SweepCell`] per (policy × scheduler × load) point. Each point is one
+//! [`Simulation`] run, and the independent (policy × scheduler) curves
 //! fan out over OS threads via the shared
 //! [`for_each_cell`](amrm_core::fanout::for_each_cell) work index.
 //!
@@ -20,8 +20,8 @@ use amrm_core::{ReactivationPolicy, SchedulerRegistry, SearchBudget};
 use amrm_metrics::{instrument, CounterSnapshot, TextTable};
 use amrm_model::AppRef;
 use amrm_platform::Platform;
-use amrm_sim::{load_sweep_streams, poisson_streams};
-use amrm_workload::StreamSpec;
+use amrm_sim::Simulation;
+use amrm_workload::{poisson_stream, StreamSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::PolicyFactory;
@@ -74,10 +74,10 @@ pub struct SweepReport {
 
 /// Runs the (policy × scheduler × load) sweep grid. Cells are grouped as
 /// (policy × scheduler) curves — each curve replays identical seeded
-/// streams over `interarrivals` via [`load_sweep_with`] — and the curves
-/// fan out over `threads` OS threads. `budget` bounds every scheduler
-/// activation (pass [`SearchBudget::online`] so exhaustive search cannot
-/// stall a dense-load cell).
+/// Poisson streams over `interarrivals` — and the curves fan out over
+/// `threads` OS threads. `budget` bounds every scheduler activation (pass
+/// [`SearchBudget::online`] so exhaustive search cannot stall a
+/// dense-load cell).
 ///
 /// # Panics
 ///
@@ -97,11 +97,18 @@ pub fn sweep_grid(
 ) -> Vec<SweepCell> {
     assert!(!registry.is_empty(), "registry must not be empty");
     assert!(!policies.is_empty(), "need at least one admission policy");
+    assert!(
+        !interarrivals.is_empty(),
+        "sweep needs at least one load point"
+    );
     let columns = registry.len();
     let names = registry.names();
     // Every (policy × scheduler) curve replays identical seeded streams,
     // so generate them exactly once and share across all curves.
-    let streams = poisson_streams(apps, interarrivals, spec, seed);
+    let streams: Vec<_> = interarrivals
+        .iter()
+        .map(|&mean| poisson_stream(apps, mean, spec, seed))
+        .collect();
     let curves = for_each_cell(policies.len() * columns, threads, |curve| {
         let policy_idx = curve / columns;
         let sched_idx = curve % columns;
@@ -112,37 +119,33 @@ pub fn sweep_grid(
             .1;
         let label = policies[policy_idx]().label();
         let mut out = Vec::with_capacity(interarrivals.len());
-        // One point per call so the thread-local counters can be drained
-        // around each cell: consecutive cells on the same worker thread
-        // must not leak counts into each other.
-        for i in 0..interarrivals.len() {
+        for (&mean, stream) in interarrivals.iter().zip(&streams) {
+            // Drain the thread-local counters around each point:
+            // consecutive cells on the same worker thread must not leak
+            // counts into each other.
             let _ = instrument::take();
-            let points = load_sweep_streams(
-                platform,
-                || factory(),
+            let outcome = Simulation::new(
+                platform.clone(),
+                factory(),
                 ReactivationPolicy::OnArrival,
-                || policies[policy_idx](),
-                &interarrivals[i..=i],
-                &streams[i..=i],
-                budget,
-                1,
-            );
-            let counters = instrument::take();
-            for p in points {
-                out.push(SweepCell {
-                    policy: label.clone(),
-                    scheduler: names[sched_idx].to_string(),
-                    mean_interarrival: p.mean_interarrival,
-                    requests: p.outcome.admissions.len(),
-                    accepted: p.outcome.accepted(),
-                    acceptance_rate: p.acceptance_rate,
-                    energy_per_job: p.energy_per_job,
-                    activations: p.outcome.stats.activations,
-                    queue_deadline_drops: p.outcome.queue_deadline_drops,
-                    deadline_misses: p.outcome.stats.deadline_misses,
-                    counters,
-                });
-            }
+                policies[policy_idx](),
+                stream,
+            )
+            .with_search_budget(budget)
+            .run();
+            out.push(SweepCell {
+                policy: label.clone(),
+                scheduler: names[sched_idx].to_string(),
+                mean_interarrival: mean,
+                requests: outcome.admissions.len(),
+                accepted: outcome.accepted(),
+                acceptance_rate: outcome.acceptance_rate(),
+                energy_per_job: outcome.energy_per_job(),
+                activations: outcome.stats.activations,
+                queue_deadline_drops: outcome.queue_deadline_drops,
+                deadline_misses: outcome.stats.deadline_misses,
+                counters: instrument::take(),
+            });
         }
         out
     });
@@ -198,17 +201,6 @@ pub fn sweep_report(cells: &[SweepCell], interarrivals: &[f64]) -> String {
     out
 }
 
-/// Writes a sweep report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &SweepReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +217,93 @@ mod tests {
 
     fn lib() -> Vec<AppRef> {
         vec![scenarios::lambda1(), scenarios::lambda2()]
+    }
+
+    /// One-policy (per-request admission) sweep of `registry` on the
+    /// two-application scenario platform.
+    fn immediate_sweep(
+        registry: &SchedulerRegistry,
+        loads: &[f64],
+        spec: &StreamSpec,
+        seed: u64,
+    ) -> Vec<SweepCell> {
+        let immediate: Vec<PolicyFactory> = vec![Box::new(|| Box::new(Immediate))];
+        sweep_grid(
+            &scenarios::platform(),
+            registry,
+            &immediate,
+            &lib(),
+            loads,
+            spec,
+            seed,
+            1,
+            SearchBudget::unbounded(),
+        )
+    }
+
+    #[test]
+    fn deadline_misses_never_occur_at_any_load() {
+        let spec = StreamSpec {
+            requests: 30,
+            slack_range: (1.1, 2.5),
+        };
+        let registry = standard_registry().subset(&[MDF_NAME]);
+        let cells = immediate_sweep(&registry, &[1.0, 4.0, 16.0], &spec, 3);
+        assert_eq!(cells.len(), 3);
+        for c in &cells {
+            assert_eq!(c.deadline_misses, 0);
+            assert!(c.energy_per_job >= 0.0);
+        }
+    }
+
+    #[test]
+    fn lighter_load_is_never_worse_on_acceptance() {
+        let spec = StreamSpec {
+            requests: 25,
+            slack_range: (1.2, 2.0),
+        };
+        let registry = standard_registry().subset(&[MDF_NAME]);
+        let cells = immediate_sweep(&registry, &[2.0, 20.0], &spec, 11);
+        // Very light load (mean 20 s between ~5 s jobs) must admit at
+        // least as much as heavy load in aggregate.
+        assert!(cells[1].acceptance_rate >= cells[0].acceptance_rate - 1e-9);
+        assert!(cells[1].acceptance_rate > 0.9);
+    }
+
+    #[test]
+    fn zero_acceptance_point_reports_zero_energy_per_job() {
+        // A scheduler that rejects everything: the sweep aggregates must
+        // come out as exact zeros, not NaN from a 0/0.
+        struct RejectAll;
+        impl amrm_core::Scheduler for RejectAll {
+            fn name(&self) -> &str {
+                "REJECT-ALL"
+            }
+            fn schedule(
+                &mut self,
+                _: &amrm_model::JobSet,
+                _: &Platform,
+                _: &amrm_core::SchedulingContext,
+            ) -> Option<amrm_model::Schedule> {
+                None
+            }
+        }
+        let registry = SchedulerRegistry::new().with("REJECT-ALL", || Box::new(RejectAll));
+        let spec = StreamSpec {
+            requests: 8,
+            slack_range: (1.5, 2.0),
+        };
+        let cells = immediate_sweep(&registry, &[4.0], &spec, 2);
+        assert_eq!(cells[0].accepted, 0);
+        assert_eq!(cells[0].acceptance_rate, 0.0);
+        assert_eq!(cells[0].energy_per_job, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one load point")]
+    fn empty_load_grid_panics() {
+        let registry = standard_registry().subset(&[MDF_NAME]);
+        let _ = immediate_sweep(&registry, &[], &StreamSpec::default(), 0);
     }
 
     #[test]
@@ -347,7 +426,7 @@ mod tests {
             ),
         };
         let path = std::env::temp_dir().join("amrm_sweep_roundtrip.json");
-        write_json(&path, &report).unwrap();
+        crate::write_json(&path, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: SweepReport = serde_json::from_str(&text).unwrap();

@@ -230,17 +230,6 @@ pub fn trace_report(report: &TraceReport) -> String {
     out
 }
 
-/// Writes a trace report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &TraceReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 /// Writes the per-track journals as one Chrome trace-event document —
 /// open it at <https://ui.perfetto.dev> (or `chrome://tracing`).
 ///
@@ -252,8 +241,9 @@ pub fn write_chrome(
     tracks: &[(String, Journal)],
 ) -> std::io::Result<()> {
     let borrowed: Vec<(&str, &Journal)> = tracks.iter().map(|(l, j)| (l.as_str(), j)).collect();
-    let file = std::fs::File::create(path)?;
-    journal::write_chrome_trace(&borrowed, &mut std::io::BufWriter::new(file))
+    let mut text = Vec::new();
+    journal::write_chrome_trace(&borrowed, &mut text)?;
+    std::fs::write(path, text)
 }
 
 #[cfg(test)]
@@ -347,11 +337,18 @@ mod tests {
         assert!(text.contains("regime"));
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn chrome_export_to_a_full_device_is_an_error() {
+        let run = run_trace_with(50, true, 3, 0);
+        assert!(write_chrome("/dev/full", &run.tracks).is_err());
+    }
+
     #[test]
     fn report_roundtrips_through_json() {
         let run = run_trace_with(300, true, 5, 4);
         let path = std::env::temp_dir().join("amrm_trace_roundtrip.json");
-        write_json(&path, &run.report).unwrap();
+        crate::write_json(&path, &run.report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let back: TraceReport = serde_json::from_str(&text).unwrap();

@@ -916,17 +916,6 @@ pub fn tune_report(report: &TuneReport) -> String {
     out
 }
 
-/// Writes a tune report as pretty-printed JSON.
-///
-/// # Errors
-///
-/// Returns any I/O or serialization error.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &TuneReport) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), report)
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

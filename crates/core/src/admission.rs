@@ -12,8 +12,8 @@
 //!
 //! `AdmissionPolicy` is a **trait**: implement it (plus
 //! [`label`](AdmissionPolicy::label)) and every consumer — the event
-//! kernel, `load_sweep_with`, the `repro admission` grid — picks the
-//! policy up unchanged. Stateless fixed policies ([`Immediate`],
+//! kernel, the `repro sweep` load grid, the `repro admission` grid —
+//! picks the policy up unchanged. Stateless fixed policies ([`Immediate`],
 //! [`BatchK`], [`WindowTau`]) ignore the snapshot; the stateful
 //! [`AdaptiveBatch`] and [`SlackAware`] close the feedback loop from the
 //! telemetry series. Everything a policy can observe is simulated time

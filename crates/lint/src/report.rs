@@ -118,23 +118,3 @@ pub fn render(report: &LintReport) -> String {
     ));
     out
 }
-
-/// Serializes the report as pretty JSON (vendored stub).
-///
-/// # Errors
-///
-/// Propagates serializer errors (none occur for these plain types).
-pub fn to_json(report: &LintReport) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(report)
-}
-
-/// Writes the JSON artifact to `path`.
-///
-/// # Errors
-///
-/// Returns any I/O error from writing the file.
-pub fn write_json(path: impl AsRef<std::path::Path>, report: &LintReport) -> std::io::Result<()> {
-    let text =
-        to_json(report).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(path, text + "\n")
-}

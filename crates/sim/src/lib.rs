@@ -32,14 +32,9 @@
 
 pub mod federation;
 mod simulation;
-mod sweep;
 
 pub use crate::federation::{Federation, FederationConfig, FederationOutcome};
 pub use crate::simulation::Simulation;
-pub use crate::sweep::{
-    load_sweep, load_sweep_streams, load_sweep_with, poisson_streams, registry_load_sweep,
-    LoadPoint,
-};
 
 use amrm_core::{Admission, Immediate, ReactivationPolicy, RmStats, RuntimeManager, Scheduler};
 use amrm_metrics::{Journal, Telemetry, TelemetrySummary};

@@ -8,7 +8,7 @@
 //! can rebuild the same library.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::Path;
 
 use amrm_model::AppRef;
@@ -22,8 +22,8 @@ use crate::{ScenarioRequest, TestCase};
 ///
 /// Returns any I/O or serialization error.
 pub fn save_suite(path: impl AsRef<Path>, cases: &[TestCase]) -> std::io::Result<()> {
-    let file = File::create(path)?;
-    serde_json::to_writer(BufWriter::new(file), cases).map_err(std::io::Error::other)
+    let text = serde_json::to_string(cases).map_err(std::io::Error::other)?;
+    std::fs::write(path, text)
 }
 
 /// Loads a suite from a JSON file written by [`save_suite`].
@@ -60,8 +60,8 @@ pub fn save_stream(path: impl AsRef<Path>, stream: &[ScenarioRequest]) -> std::i
             deadline: r.deadline,
         })
         .collect();
-    let file = File::create(path)?;
-    serde_json::to_writer(BufWriter::new(file), &records).map_err(std::io::Error::other)
+    let text = serde_json::to_string(&records).map_err(std::io::Error::other)?;
+    std::fs::write(path, text)
 }
 
 /// Loads a request stream written by [`save_stream`], resolving each
@@ -165,5 +165,23 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("λ2"), "{err}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn writing_to_a_full_device_is_an_error() {
+        let stream = vec![crate::ScenarioRequest {
+            app: scenarios::lambda1(),
+            arrival: 0.0,
+            deadline: 5.0,
+        }];
+        assert!(save_stream("/dev/full", &stream).is_err());
+        let lib = vec![scenarios::lambda1(), scenarios::lambda2()];
+        let spec = SuiteSpec {
+            weak_counts: [1, 0, 0, 0],
+            tight_counts: [0, 0, 0, 0],
+            ..SuiteSpec::default()
+        };
+        assert!(save_suite("/dev/full", &generate_suite(&lib, &spec, 1)).is_err());
     }
 }
