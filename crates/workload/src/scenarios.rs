@@ -3,10 +3,11 @@
 //! The numbers below are copied verbatim from Table II of the paper. They
 //! are synthetic but "feature ratios similar to what we observed in real
 //! applications". The module also provides the request scenarios S1/S2 of
-//! Table I and the reference energies of Figure 1.
+//! Table I and the reference energies of Figure 1, plus a three-cluster
+//! platform for checking that nothing assumes the big.LITTLE m = 2.
 
 use amrm_model::{AppRef, Application, Job, JobId, JobSet, OperatingPoint};
-use amrm_platform::{Platform, ResourceVec};
+use amrm_platform::{CoreType, Platform, PlatformBuilder, ResourceVec};
 
 /// Builds application λ1 of Table II (full-execution values; progressed
 /// states are derived by scaling with the remaining ratio).
@@ -51,6 +52,16 @@ fn build_app(name: &str, rows: &[(u32, u32, f64, f64)]) -> AppRef {
 /// The 2-little + 2-big platform of the motivational example.
 pub fn platform() -> Platform {
     Platform::motivational_2l2b()
+}
+
+/// A three-cluster platform (m = 3): four efficiency cores, three mid
+/// cores and one performance core.
+pub fn three_cluster_platform() -> Platform {
+    PlatformBuilder::new("tri-cluster")
+        .cluster(CoreType::new("eff", 1.0e9, 1.0, 0.15, 0.02), 4)
+        .cluster(CoreType::new("mid", 1.8e9, 1.2, 0.70, 0.07), 3)
+        .cluster(CoreType::new("perf", 2.6e9, 1.5, 2.20, 0.20), 1)
+        .build()
 }
 
 /// One request row of Table I: the application, its arrival time and its

@@ -6,19 +6,11 @@ use amrm::baselines::{ExMem, MmkpLr};
 use amrm::core::{MmkpMdf, Scheduler};
 use amrm::dataflow::{apps, characterize, CharacterizeConfig};
 use amrm::model::{Job, JobId, JobSet};
-use amrm::platform::{CoreType, PlatformBuilder};
-
-fn three_cluster() -> amrm::platform::Platform {
-    PlatformBuilder::new("tri-cluster")
-        .cluster(CoreType::new("eff", 1.0e9, 1.0, 0.15, 0.02), 4)
-        .cluster(CoreType::new("mid", 1.8e9, 1.2, 0.70, 0.07), 3)
-        .cluster(CoreType::new("perf", 2.6e9, 1.5, 2.20, 0.20), 1)
-        .build()
-}
+use amrm::workload::scenarios;
 
 #[test]
 fn characterization_produces_m3_tables() {
-    let platform = three_cluster();
+    let platform = scenarios::three_cluster_platform();
     let app = characterize(
         &apps::pedestrian_recognition(),
         &platform,
@@ -33,7 +25,7 @@ fn characterization_produces_m3_tables() {
 
 #[test]
 fn schedulers_handle_three_resource_types() {
-    let platform = three_cluster();
+    let platform = scenarios::three_cluster_platform();
     let cfg = CharacterizeConfig::default();
     let a = characterize(&apps::audio_filter(), &platform, &cfg);
     let b = characterize(&apps::speaker_recognition(), &platform, &cfg);
@@ -61,7 +53,7 @@ fn schedulers_handle_three_resource_types() {
 
 #[test]
 fn exmem_still_dominates_on_m3() {
-    let platform = three_cluster();
+    let platform = scenarios::three_cluster_platform();
     let cfg = CharacterizeConfig::default();
     let a = characterize(&apps::pedestrian_recognition(), &platform, &cfg);
     let jobs = JobSet::new(vec![
