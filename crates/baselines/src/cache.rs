@@ -399,10 +399,21 @@ impl Deserialize for MappingCache {
                 .as_str()
                 .ok_or_else(|| Error::new("cache entry `kind` must be a string"))?;
             let val = match kind {
-                "exact" => MemoVal::Exact {
-                    energy: f64::from_bits(u64::from_value(get_field(entry, "energy_bits")?)?),
-                    choice: choice_from_value(get_field(entry, "choice")?)?,
-                },
+                "exact" => {
+                    let choice = choice_from_value(get_field(entry, "choice")?)?;
+                    // Replay indexes the choice by state slot: one per job.
+                    if choice.len() != key.1.len() {
+                        return Err(Error::new(format!(
+                            "cache entry `choice` has {} slots for a {}-job state",
+                            choice.len(),
+                            key.1.len()
+                        )));
+                    }
+                    MemoVal::Exact {
+                        energy: f64::from_bits(u64::from_value(get_field(entry, "energy_bits")?)?),
+                        choice,
+                    }
+                }
                 "infeasible" => MemoVal::Infeasible,
                 other => {
                     return Err(Error::new(format!(
@@ -444,7 +455,7 @@ mod tests {
         let job = Job::new(JobId(7), app("alpha", 3.5), 0.0, 9.25, 1.0);
         cache.signatures.insert(7, JobSig::of(&job));
         cache.memo.insert(
-            (100, vec![(7, 500_000_000)]),
+            (100, vec![(7, 500_000_000), (8, 1_000_000_000)]),
             MemoVal::Exact {
                 energy: 1.75,
                 choice: vec![Some(0), None],
@@ -475,7 +486,10 @@ mod tests {
         let back = MappingCache::from_value(&cache.to_value()).expect("roundtrip must deserialize");
         assert_eq!(back.len(), 2, "only proofs are persisted");
         assert_eq!(back.warm_len(), 2, "loaded keys are all warm");
-        match back.memo.get(&(100, vec![(7, 500_000_000)])) {
+        match back
+            .memo
+            .get(&(100, vec![(7, 500_000_000), (8, 1_000_000_000)]))
+        {
             Some(MemoVal::Exact { energy, choice }) => {
                 assert_eq!(energy.to_bits(), 1.75f64.to_bits());
                 assert_eq!(choice, &vec![Some(0), None]);
@@ -522,6 +536,23 @@ mod tests {
         let err = MappingCache::load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("version 99"));
+    }
+
+    #[test]
+    fn choice_length_must_match_the_state() {
+        // Warm replay indexes `choice` by state slot, so a truncated one
+        // on a two-job entry must fail to load, not index out of bounds.
+        let corrupted = format!(
+            r#"{{"version":{CACHE_VERSION},"signatures":[],"entries":[{{
+                "time_q":100,"state":[[7,500000000],[8,1000000000]],
+                "kind":"exact","energy_bits":0,"choice":[0]
+            }}]}}"#
+        );
+        let err = serde_json::from_str::<MappingCache>(&corrupted).unwrap_err();
+        assert!(
+            err.to_string().contains("1 slots for a 2-job state"),
+            "{err}"
+        );
     }
 
     #[test]

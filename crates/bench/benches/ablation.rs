@@ -1,4 +1,5 @@
-//! Ablations of the design choices called out in DESIGN.md:
+//! Search-time ablations of the baselines, in two criterion groups (the
+//! energy ablations are the reports of `repro ablation`):
 //!
 //! * EX-MEM with vs without the MDF incumbent seed (how much of its speed
 //!   comes from branch-and-bound seeding rather than memoization);

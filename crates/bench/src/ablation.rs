@@ -1,9 +1,10 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
-//! the MDF job-order policy, the value of adaptivity at admission time
-//! (incremental/fixed/LR/MDF under load), and DVFS-aware characterization.
+//! The three reports of `repro ablation`: the job-order policy inside
+//! Algorithm 1 ([`job_order_report`]), the value of adaptivity at
+//! admission time under an online load ([`online_admission_report`]), and
+//! DVFS-aware characterization ([`dvfs_report`]).
 
 use amrm_baselines::{standard_registry, EXMEM_NAME, FIXED_NAME};
-use amrm_core::{JobOrderPolicy, MmkpVariant, ReactivationPolicy, Scheduler, SchedulerRegistry};
+use amrm_core::{JobOrderPolicy, MmkpMdf, ReactivationPolicy, Scheduler, SchedulerRegistry};
 use amrm_dataflow::{apps, characterize, characterize_dvfs, odroid_xu4_dvfs, CharacterizeConfig};
 use amrm_metrics::{geometric_mean, TextTable};
 use amrm_platform::Platform;
@@ -14,12 +15,7 @@ use amrm_workload::{generate_suite, poisson_stream, scenarios, StreamSpec, Suite
 /// suite: geometric-mean energy relative to the MDF policy over cases all
 /// policies schedule.
 pub fn job_order_report(cases: &[TestCase], platform: &Platform) -> String {
-    let policies = [
-        JobOrderPolicy::MaxDifference,
-        JobOrderPolicy::EarliestDeadline,
-        JobOrderPolicy::CheapestFirst,
-        JobOrderPolicy::InsertionOrder,
-    ];
+    let policies = JobOrderPolicy::ALL;
     let mut per_policy_energy: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
     let mut scheduled = vec![0usize; policies.len()];
     for case in cases {
@@ -27,7 +23,7 @@ pub fn job_order_report(cases: &[TestCase], platform: &Platform) -> String {
         let schedules: Vec<Option<f64>> = policies
             .iter()
             .map(|&p| {
-                MmkpVariant::new(p)
+                MmkpMdf::with_order(p)
                     .schedule_at(&jobs, platform, 0.0)
                     .map(|s| s.energy(&jobs))
             })

@@ -37,7 +37,7 @@ use amrm_core::{
     SlackAware,
 };
 use amrm_metrics::journal::{EventKind, JournalConfig};
-use amrm_metrics::{TextTable, TraceSink};
+use amrm_metrics::TextTable;
 use amrm_model::AppRef;
 use amrm_platform::Platform;
 use amrm_sim::Simulation;
@@ -430,15 +430,15 @@ fn run_exmem_cell(
     stream: &[amrm_workload::ScenarioRequest],
 ) -> (f64, f64, u64) {
     let config = JournalConfig::default();
-    let mut sim = Simulation::new(
+    let sim = Simulation::new(
         platform.clone(),
         scheduler,
         ReactivationPolicy::OnArrival,
         Immediate,
         stream,
     )
-    .with_search_budget(SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS));
-    sim.install_journal(TraceSink::enabled(config), config.sample);
+    .with_search_budget(SearchBudget::nodes(SearchBudget::ONLINE_WORK_UNITS))
+    .with_journal(config);
     let outcome = sim.run();
     let truncations = outcome
         .journal

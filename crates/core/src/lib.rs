@@ -10,7 +10,9 @@
 //!   the extension point through which suites, sweeps and the repro binary
 //!   enumerate algorithms without hard-coded indices;
 //! * [`MmkpMdf`] — the paper's fast MMKP heuristic with
-//!   Maximum-Difference-First job selection (Algorithm 1);
+//!   Maximum-Difference-First job selection (Algorithm 1); it carries the
+//!   job order as a [`JobOrderPolicy`], so the ablation's naive orders run
+//!   the same loop;
 //! * [`schedule_jobs`] — the EDF segment packer (Algorithm 2), exposed for
 //!   reuse and testing;
 //! * [`ExecutionEngine`] — indexed progress/energy accounting over an
@@ -51,7 +53,6 @@ mod mdf;
 pub mod routing;
 mod schedule_jobs;
 mod scheduler;
-mod variants;
 
 pub use crate::admission::{
     AdaptiveBatch, AdmissionDirective, AdmissionPolicy, BatchK, Immediate, SlackAware,
@@ -60,14 +61,13 @@ pub use crate::admission::{
 pub use crate::context::{SchedulingContext, SearchBudget, TraceSink};
 pub use crate::engine::{EngineJob, ExecutionEngine};
 pub use crate::manager::{Admission, DecisionReason, ReactivationPolicy, RmStats, RuntimeManager};
-pub use crate::mdf::MmkpMdf;
+pub use crate::mdf::{JobOrderPolicy, MmkpMdf};
 pub use crate::routing::{
     EnergyAware, HashAffinity, JoinShortestQueue, RoundRobin, RouteRequest, RoutingPolicy,
     ShardView,
 };
 pub use crate::schedule_jobs::schedule_jobs;
 pub use crate::scheduler::{Scheduler, SchedulerFactory, SchedulerRegistry};
-pub use crate::variants::{JobOrderPolicy, MmkpVariant};
 
 #[doc(hidden)]
 pub use crate::engine::LinearScanEngine;

@@ -6,6 +6,11 @@
 //! operating points form a group of items weighted by `θ · τ · ρ`. Jobs are
 //! picked by Maximum-Difference-First and packed with
 //! [`schedule_jobs`](crate::schedule_jobs) (Algorithm 2).
+//!
+//! [`MmkpMdf`] carries the job order as a [`JobOrderPolicy`]: the paper's
+//! MDF by default, or one of the naive orders the `repro ablation`
+//! job-order report compares it against. Every order shares the same
+//! containers, configuration trials and SCHEDULEJOBS packing.
 
 use std::collections::HashMap;
 
@@ -14,9 +19,49 @@ use amrm_platform::{CapacityVec, Platform, EPS};
 
 use crate::{schedule_jobs, Scheduler, SchedulingContext};
 
+/// How the next unmapped job is chosen in the Algorithm 1 outer loop.
+///
+/// The paper motivates Maximum-Difference-First by arguing it prioritizes
+/// "the job that would cause the highest degradation if the best point is
+/// not chosen in this iteration"; the other orders make that claim
+/// testable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum JobOrderPolicy {
+    /// Maximum-Difference-First — the paper's policy.
+    #[default]
+    MaxDifference,
+    /// Earliest deadline first.
+    EarliestDeadline,
+    /// The job whose best feasible point is cheapest goes first.
+    CheapestFirst,
+    /// Job-set order (arbitrary / arrival order) — the no-policy baseline.
+    InsertionOrder,
+}
+
+impl JobOrderPolicy {
+    /// Every policy, the paper's first.
+    pub const ALL: [JobOrderPolicy; 4] = [
+        JobOrderPolicy::MaxDifference,
+        JobOrderPolicy::EarliestDeadline,
+        JobOrderPolicy::CheapestFirst,
+        JobOrderPolicy::InsertionOrder,
+    ];
+
+    /// Display name used by reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            JobOrderPolicy::MaxDifference => "MDF",
+            JobOrderPolicy::EarliestDeadline => "EDF-order",
+            JobOrderPolicy::CheapestFirst => "cheapest-first",
+            JobOrderPolicy::InsertionOrder => "insertion-order",
+        }
+    }
+}
+
 /// The MMKP-MDF scheduler.
 ///
-/// Stateless; one instance can be reused across RM activations.
+/// Stateless apart from its [`JobOrderPolicy`]; one instance can be reused
+/// across RM activations.
 ///
 /// # Examples
 ///
@@ -34,15 +79,29 @@ use crate::{schedule_jobs, Scheduler, SchedulingContext};
 /// let rho1 = 1.0 - 1.0 / 5.3;
 /// assert!((schedule.energy(&jobs) - (5.73 + 8.9 * rho1)).abs() < 1e-9);
 /// ```
+///
+/// Another job order, for ablation:
+///
+/// ```
+/// use amrm_core::{JobOrderPolicy, MmkpMdf, Scheduler};
+///
+/// let edf = MmkpMdf::with_order(JobOrderPolicy::EarliestDeadline);
+/// assert_eq!(edf.name(), "MMKP-EDF");
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MmkpMdf {
-    _priv: (),
+    order: JobOrderPolicy,
 }
 
 impl MmkpMdf {
-    /// Creates an MMKP-MDF scheduler.
+    /// Creates an MMKP-MDF scheduler (Maximum-Difference-First order).
     pub fn new() -> Self {
         MmkpMdf::default()
+    }
+
+    /// Creates the scheduler with another job order (ablation).
+    pub fn with_order(order: JobOrderPolicy) -> Self {
+        MmkpMdf { order }
     }
 }
 
@@ -75,11 +134,18 @@ pub(crate) fn feasible_configs(
     list
 }
 
-/// `NEXTJOBMDF`: picks the unmapped job whose best feasible point beats its
-/// second best by the largest remaining-energy margin (Maximum Difference
-/// First). A job with a single feasible point has infinite margin; a job
-/// with none makes the whole activation infeasible (`None`).
+/// `NEXTJOBMDF`: picks the next unmapped job in `order`, together with its
+/// feasible points sorted by remaining energy.
+///
+/// Under [`JobOrderPolicy::MaxDifference`] the job whose best feasible
+/// point beats its second best by the largest remaining-energy margin
+/// wins (a job with a single feasible point has infinite margin; margins
+/// within `EPS` tie). The deadline and cheapest-point orders take the
+/// smallest key; insertion order takes the first unmapped job. Ties go to
+/// the smaller [`JobId`]. Under every order a job with no feasible point
+/// makes the whole activation infeasible (`None`).
 fn next_job_mdf(
+    order: JobOrderPolicy,
     jobs: &JobSet,
     assigned: &HashMap<JobId, usize>,
     containers: &CapacityVec,
@@ -95,17 +161,29 @@ fn next_job_mdf(
         if cl.is_empty() {
             return None; // some job can no longer be scheduled at all
         }
-        let diff = if cl.len() >= 2 {
-            job.remaining_energy(cl[1]) - job.remaining_energy(cl[0])
-        } else {
-            f64::INFINITY
+        let key = match order {
+            JobOrderPolicy::MaxDifference if cl.len() >= 2 => {
+                job.remaining_energy(cl[1]) - job.remaining_energy(cl[0])
+            }
+            JobOrderPolicy::MaxDifference => f64::INFINITY,
+            JobOrderPolicy::EarliestDeadline => job.deadline(),
+            JobOrderPolicy::CheapestFirst => job.remaining_energy(cl[0]),
+            JobOrderPolicy::InsertionOrder => 0.0,
         };
         let replace = match &best {
             None => true,
-            Some((d, id, _)) => diff > *d + EPS || (diff >= *d - EPS && job.id() < *id),
+            Some((k, id, _)) => match order {
+                JobOrderPolicy::MaxDifference => {
+                    key > *k + EPS || (key >= *k - EPS && job.id() < *id)
+                }
+                JobOrderPolicy::EarliestDeadline | JobOrderPolicy::CheapestFirst => {
+                    key.total_cmp(k).then(job.id().cmp(id)).is_lt()
+                }
+                JobOrderPolicy::InsertionOrder => false,
+            },
         };
         if replace {
-            best = Some((diff, job.id(), cl));
+            best = Some((key, job.id(), cl));
         }
     }
     best.map(|(_, id, cl)| (id, cl))
@@ -113,7 +191,12 @@ fn next_job_mdf(
 
 impl Scheduler for MmkpMdf {
     fn name(&self) -> &str {
-        "MMKP-MDF"
+        match self.order {
+            JobOrderPolicy::MaxDifference => "MMKP-MDF",
+            JobOrderPolicy::EarliestDeadline => "MMKP-EDF",
+            JobOrderPolicy::CheapestFirst => "MMKP-CHEAP",
+            JobOrderPolicy::InsertionOrder => "MMKP-PLAIN",
+        }
     }
 
     fn schedule(
@@ -138,8 +221,9 @@ impl Scheduler for MmkpMdf {
 
         // Line 3: iterate until every job has a configuration.
         while assigned.len() < jobs.len() {
-            // Line 4: MDF job selection with filtered config list.
-            let (target, mut cl) = next_job_mdf(jobs, &assigned, &containers, platform, now)?;
+            // Line 4: job selection (MDF by default) with filtered config list.
+            let (target, mut cl) =
+                next_job_mdf(self.order, jobs, &assigned, &containers, platform, now)?;
             let job = jobs.get(target).expect("selected from the set");
 
             // Lines 5–14: try configs in non-decreasing energy order.
@@ -171,7 +255,7 @@ mod tests {
     use super::*;
     use amrm_model::{Application, Job, JobSet, OperatingPoint};
     use amrm_platform::ResourceVec;
-    use amrm_workload::scenarios;
+    use amrm_workload::{generate_suite, scenarios, SuiteSpec};
 
     #[test]
     fn single_job_gets_cheapest_deadline_feasible_point() {
@@ -306,8 +390,15 @@ mod tests {
         let jobs = scenarios::s1_jobs_at_t1();
         let platform = scenarios::platform();
         let containers = platform.counts().scale(8.0);
-        let (first, cl) =
-            next_job_mdf(&jobs, &HashMap::new(), &containers, &platform, 1.0).unwrap();
+        let (first, cl) = next_job_mdf(
+            JobOrderPolicy::MaxDifference,
+            &jobs,
+            &HashMap::new(),
+            &containers,
+            &platform,
+            1.0,
+        )
+        .unwrap();
         assert_eq!(first, JobId(1));
         // Best config of σ1 is 2L1B (index 6).
         assert_eq!(cl[0], 6);
@@ -315,10 +406,71 @@ mod tests {
 
     #[test]
     fn next_job_returns_none_when_a_job_is_stuck() {
-        // Exhausted containers leave no feasible configs.
+        // Exhausted containers leave no feasible configs, whatever the order.
         let jobs = scenarios::s1_jobs_at_t1();
         let platform = scenarios::platform();
         let containers = CapacityVec::zeros(2);
-        assert!(next_job_mdf(&jobs, &HashMap::new(), &containers, &platform, 1.0).is_none());
+        for order in JobOrderPolicy::ALL {
+            let next = next_job_mdf(order, &jobs, &HashMap::new(), &containers, &platform, 1.0);
+            assert!(next.is_none(), "{}", order.name());
+        }
+    }
+
+    #[test]
+    fn all_policies_produce_valid_schedules() {
+        // The job-order suite of `repro ablation` (`ablation_suite` in
+        // amrm-bench) at its default seed.
+        let lib = vec![scenarios::lambda1(), scenarios::lambda2()];
+        let spec = SuiteSpec {
+            weak_counts: [5, 40, 40, 25],
+            tight_counts: [5, 40, 40, 25],
+            ..SuiteSpec::default()
+        };
+        let platform = scenarios::platform();
+        let mut scheduled = [0usize; 4];
+        for case in generate_suite(&lib, &spec, 2020) {
+            let jobs = case.to_job_set();
+            for (i, order) in JobOrderPolicy::ALL.into_iter().enumerate() {
+                if let Some(schedule) =
+                    MmkpMdf::with_order(order).schedule_at(&jobs, &platform, 0.0)
+                {
+                    schedule
+                        .validate(&jobs, &platform, 0.0)
+                        .unwrap_or_else(|e| panic!("{}: {e}", order.name()));
+                    scheduled[i] += 1;
+                }
+            }
+        }
+        assert!(scheduled.iter().all(|&n| n > 0), "{scheduled:?}");
+    }
+
+    #[test]
+    fn no_order_beats_mdf_on_the_motivational_example() {
+        let platform = scenarios::platform();
+        let jobs = scenarios::s1_jobs_at_t1();
+        let energy = |order| {
+            MmkpMdf::with_order(order)
+                .schedule_at(&jobs, &platform, 1.0)
+                .unwrap()
+                .energy(&jobs)
+        };
+        let mdf = energy(JobOrderPolicy::MaxDifference);
+        for order in JobOrderPolicy::ALL {
+            assert!(mdf <= energy(order) + 1e-9, "{}", order.name());
+        }
+    }
+
+    #[test]
+    fn default_order_is_mdf_and_names_are_distinct() {
+        assert_eq!(MmkpMdf::new().name(), "MMKP-MDF");
+        let schedulers = JobOrderPolicy::ALL.map(MmkpMdf::with_order);
+        for mut names in [
+            JobOrderPolicy::ALL.map(JobOrderPolicy::name).to_vec(),
+            schedulers.iter().map(|s| s.name()).collect(),
+        ] {
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), JobOrderPolicy::ALL.len());
+        }
     }
 }

@@ -35,7 +35,7 @@
 //! assert_eq!(snap.queue_depth, 1);
 //! ```
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::histogram::{HistogramSummary, LogHistogram};
 use crate::stats::Percentiles;
@@ -242,10 +242,8 @@ impl Default for TelemetrySnapshot {
 /// The `*_hist` summaries come from streaming [`LogHistogram`]s that see
 /// **every** sample of the run (not just the bounded rings), at O(1)
 /// memory — the distribution aggregates bench reporting uses for
-/// multi-million-request aggregated runs. `Deserialize` is hand-written
-/// (the vendored serde stub has no `#[serde(default)]`): summaries
-/// written before the histograms existed read back with empty ones.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+/// multi-million-request aggregated runs.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySummary {
     /// Arrivals observed.
     pub arrivals: usize,
@@ -291,44 +289,6 @@ pub struct TelemetrySummary {
     /// each **admitted** request at its decision instant, simulated
     /// seconds.
     pub admission_slack_hist: HistogramSummary,
-}
-
-impl serde::Deserialize for TelemetrySummary {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let Some(fields) = v.as_obj() else {
-            return Err(serde::Error::new("expected TelemetrySummary object"));
-        };
-        let field = |name: &str| serde::value::get_field(fields, name);
-        // Histogram summaries are absent in files written before the
-        // streaming histograms existed — default to empty.
-        let hist = |name: &str| -> Result<HistogramSummary, serde::Error> {
-            match field(name) {
-                Ok(value) => HistogramSummary::from_value(value),
-                Err(_) => Ok(HistogramSummary::default()),
-            }
-        };
-        Ok(TelemetrySummary {
-            arrivals: usize::from_value(field("arrivals")?)?,
-            activations: usize::from_value(field("activations")?)?,
-            queue_drops: usize::from_value(field("queue_drops")?)?,
-            arrival_rate: f64::from_value(field("arrival_rate")?)?,
-            queue_depth: f64::from_value(field("queue_depth")?)?,
-            utilization: f64::from_value(field("utilization")?)?,
-            utilization_per_type: Vec::from_value(field("utilization_per_type")?)?,
-            rolling_acceptance: f64::from_value(field("rolling_acceptance")?)?,
-            energy_per_job: f64::from_value(field("energy_per_job")?)?,
-            activation_latency: f64::from_value(field("activation_latency")?)?,
-            queue_wait_p50: f64::from_value(field("queue_wait_p50")?)?,
-            queue_wait_p95: f64::from_value(field("queue_wait_p95")?)?,
-            queue_wait_p99: f64::from_value(field("queue_wait_p99")?)?,
-            decision_seconds_p50: f64::from_value(field("decision_seconds_p50")?)?,
-            decision_seconds_p95: f64::from_value(field("decision_seconds_p95")?)?,
-            decision_seconds_p99: f64::from_value(field("decision_seconds_p99")?)?,
-            queue_wait_hist: hist("queue_wait_hist")?,
-            decision_seconds_hist: hist("decision_seconds_hist")?,
-            admission_slack_hist: hist("admission_slack_hist")?,
-        })
-    }
 }
 
 /// The online telemetry recorder owned by the simulation kernel.
@@ -840,26 +800,5 @@ mod tests {
         assert_eq!(s.admission_slack_hist.count, 1);
         assert!(s.queue_wait_hist.p95 > 0.0);
         assert!((s.admission_slack_hist.max - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn legacy_summary_without_histograms_still_parses() {
-        // The exact shape written before the streaming histograms
-        // existed — must read back with empty histogram summaries.
-        let legacy = r#"{
-            "arrivals": 3, "activations": 2, "queue_drops": 0,
-            "arrival_rate": 0.5, "queue_depth": 1.0, "utilization": 0.25,
-            "utilization_per_type": [0.25, 0.0],
-            "rolling_acceptance": 1.0, "energy_per_job": 10.0,
-            "activation_latency": 0.1,
-            "queue_wait_p50": 0.2, "queue_wait_p95": 0.4,
-            "queue_wait_p99": 0.5,
-            "decision_seconds_p50": 0.001, "decision_seconds_p95": 0.002,
-            "decision_seconds_p99": 0.003
-        }"#;
-        let back: TelemetrySummary = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.arrivals, 3);
-        assert_eq!(back.queue_wait_hist, HistogramSummary::default());
-        assert_eq!(back.admission_slack_hist, HistogramSummary::default());
     }
 }

@@ -407,15 +407,8 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
     /// [`SimOutcome::journal`].
     #[must_use]
     pub fn with_journal(mut self, config: JournalConfig) -> Self {
-        self.install_journal(TraceSink::enabled(config), config.sample);
-        self
-    }
-
-    /// Installs an externally owned journal sink (the federation gives
-    /// each shard its own so cross-shard interleaving cannot perturb
-    /// event order). `sample` must match the sink's journal config.
-    pub fn install_journal(&mut self, sink: TraceSink, sample: u64) {
-        self.journal_sample = sample;
+        let sink = TraceSink::enabled(config);
+        self.journal_sample = config.sample;
         self.rm.set_trace_sink(sink.clone());
         // Backfill ids for requests pulled ahead of this call (the
         // constructor pulls one arrival before builders run).
@@ -424,6 +417,7 @@ impl<S: Scheduler, A: AdmissionPolicy> Simulation<S, A> {
             self.next_journal_id += 1;
         }
         self.journal = sink;
+        self
     }
 
     /// Whether the journal samples this request id (mirrors
