@@ -556,6 +556,41 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_choice_falls_back_to_a_valid_schedule() {
+        // A loaded `choice` naming an operating point the application
+        // does not have must not index out of bounds on replay: the
+        // broken path degrades to the MDF seed schedule.
+        use crate::ExMem;
+        use amrm_core::Scheduler;
+        use amrm_workload::scenarios;
+
+        let jobs = scenarios::s1_jobs_at_t1();
+        let platform = scenarios::platform();
+        let mut cold = ExMem::new();
+        cold.schedule_at(&jobs, &platform, 1.0).unwrap();
+        let text = serde_json::to_string(cold.cache()).unwrap();
+        let mut corrupted: MappingCache = serde_json::from_str(&text).unwrap();
+        let mut bad_slots = 0;
+        for val in corrupted.memo.values_mut() {
+            if let MemoVal::Exact { choice, .. } = val {
+                for cfg in choice.iter_mut().flatten() {
+                    *cfg = 999;
+                    bad_slots += 1;
+                }
+            }
+        }
+        assert!(bad_slots > 0, "the fixture must corrupt some choice");
+
+        let mut warm = ExMem::new().with_cache(corrupted);
+        let schedule = warm.schedule_at(&jobs, &platform, 1.0).unwrap();
+        assert!(
+            warm.last_warm_hits() > 0,
+            "the corrupted entries were served"
+        );
+        assert!(schedule.validate(&jobs, &platform, 1.0).is_ok());
+    }
+
+    #[test]
     fn signature_fingerprint_tracks_point_table_content() {
         let job_a = Job::new(JobId(1), app("alpha", 3.5), 0.0, 9.0, 1.0);
         let sig = JobSig::of(&job_a);

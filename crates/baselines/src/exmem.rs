@@ -934,8 +934,9 @@ fn push_candidate(
 /// from the root state. `Exact` entries trace the optimal path; `Anytime`
 /// entries trace the best feasible path a truncated search recorded.
 /// Returns `None` if the path breaks (a later exhaustive pass replaced an
-/// anytime entry with a bound) — the caller then degrades to the MDF
-/// fallback.
+/// anytime entry with a bound, or a loaded cache names an operating point
+/// the job's application does not have) — the caller then degrades to
+/// the MDF fallback.
 fn reconstruct(
     jobs: &[Job],
     memo: &HashMap<Key, MemoVal>,
@@ -952,6 +953,9 @@ fn reconstruct(
         let mut delta = f64::INFINITY;
         for (slot, &(ji, rho)) in state.iter().enumerate() {
             if let Some(cfg) = choice[slot] {
+                if cfg >= jobs[ji].app().num_points() {
+                    return None;
+                }
                 delta = delta.min(jobs[ji].point(cfg).time() * rho);
             }
         }

@@ -106,11 +106,19 @@ impl Percentiles {
     /// Computes the summary from an unsorted sample slice; `None` for an
     /// empty slice.
     pub fn from_samples(values: &[f64]) -> Option<Self> {
-        let sorted = sorted_copy(values)?;
+        Self::from_sorted(&sorted_copy(values)?)
+    }
+
+    /// Computes the summary from an ascending-sorted slice; `None` for an
+    /// empty slice.
+    pub(crate) fn from_sorted(sorted: &[f64]) -> Option<Self> {
+        if sorted.is_empty() {
+            return None;
+        }
         Some(Percentiles {
-            p50: quantile_sorted(&sorted, 0.50),
-            p95: quantile_sorted(&sorted, 0.95),
-            p99: quantile_sorted(&sorted, 0.99),
+            p50: quantile_sorted(sorted, 0.50),
+            p95: quantile_sorted(sorted, 0.95),
+            p99: quantile_sorted(sorted, 0.99),
         })
     }
 }

@@ -65,13 +65,15 @@ impl RingBuffer {
         }
     }
 
-    /// Appends a sample, evicting the oldest once full.
-    pub fn push(&mut self, sample: f64) {
+    /// Appends a sample; once full, evicts the oldest and returns it.
+    pub fn push(&mut self, sample: f64) -> Option<f64> {
         if self.data.len() < self.capacity {
             self.data.push(sample);
+            None
         } else {
-            self.data[self.next] = sample;
+            let evicted = std::mem::replace(&mut self.data[self.next], sample);
             self.next = (self.next + 1) % self.capacity;
+            Some(evicted)
         }
     }
 
@@ -113,6 +115,47 @@ impl RingBuffer {
             return 0.0;
         }
         self.data.iter().sum::<f64>() / self.data.len() as f64
+    }
+}
+
+/// A [`RingBuffer`] that also keeps its samples sorted, so quantiles
+/// read in O(1) instead of sorting a copy of the ring.
+///
+/// Invariant: `sorted` holds exactly the ring's samples, ascending in
+/// [`f64::total_cmp`] order. Two samples that `total_cmp` calls equal
+/// have identical bits, so `sorted` is bit for bit the array a full sort
+/// of the ring builds, and quantiles read from it match
+/// [`percentile`](crate::percentile) on the ring exactly.
+#[derive(Debug, Clone)]
+struct SortedWindow {
+    /// Arrival order: decides which sample a push evicts.
+    ring: RingBuffer,
+    /// The same samples in `total_cmp` order; grows on first use.
+    sorted: Vec<f64>,
+}
+
+impl SortedWindow {
+    fn new(capacity: usize) -> Self {
+        SortedWindow {
+            ring: RingBuffer::new(capacity),
+            sorted: Vec::new(),
+        }
+    }
+
+    /// Pushes a sample: one binary-search remove of the evicted sample,
+    /// one ordered insert of the new one.
+    fn push(&mut self, sample: f64) {
+        if let Some(evicted) = self.ring.push(sample) {
+            let at = self
+                .sorted
+                .binary_search_by(|x| x.total_cmp(&evicted))
+                .expect("the evicted sample is in the sorted window");
+            self.sorted.remove(at);
+        }
+        let at = self
+            .sorted
+            .partition_point(|x| x.total_cmp(&sample).is_lt());
+        self.sorted.insert(at, sample);
     }
 }
 
@@ -308,13 +351,9 @@ pub struct Telemetry {
     /// 1.0 per accepted / 0.0 per rejected request, most recent
     /// [`Telemetry::ACCEPTANCE_WINDOW`] decisions.
     acceptance: RingBuffer,
-    queue_wait: RingBuffer,
-    /// Cached queue-wait p95, invalidated on each recorded wait: the
-    /// snapshot is taken on every kernel event, and sorting the sample
-    /// ring there would put an O(n log n) pass on the hot event path.
-    /// A `Cell` because the lazily recomputed value must be stored from
-    /// the `&self` snapshot path (the recorder stays `Send`).
-    queue_wait_p95_cache: std::cell::Cell<Option<f64>>,
+    /// Kept sorted: the snapshot, taken on every kernel event, reads its
+    /// p95 without sorting.
+    queue_wait: SortedWindow,
     decision_seconds: RingBuffer,
     /// Whole-run streaming distributions (the rings above cap at
     /// [`Telemetry::SAMPLE_CAPACITY`]; these see every sample at O(1)
@@ -348,8 +387,7 @@ impl Telemetry {
             utilization_per_type: Vec::new(),
             activation_latency: Ewma::new(Self::ALPHA),
             acceptance: RingBuffer::new(Self::ACCEPTANCE_WINDOW),
-            queue_wait: RingBuffer::new(Self::SAMPLE_CAPACITY),
-            queue_wait_p95_cache: std::cell::Cell::new(None),
+            queue_wait: SortedWindow::new(Self::SAMPLE_CAPACITY),
             decision_seconds: RingBuffer::new(Self::SAMPLE_CAPACITY),
             queue_wait_hist: LogHistogram::new(),
             decision_seconds_hist: LogHistogram::new(),
@@ -423,7 +461,6 @@ impl Telemetry {
     pub fn record_queue_wait(&mut self, wait: f64) {
         self.queue_wait.push(wait.max(0.0));
         self.queue_wait_hist.record(wait.max(0.0));
-        self.queue_wait_p95_cache.set(None);
     }
 
     /// Records the remaining slack (`deadline − now`) of one **admitted**
@@ -550,15 +587,13 @@ impl Telemetry {
     /// 95th-percentile simulated queue wait over the retained samples
     /// (0.0 while the ring is empty). Derived from simulated time only,
     /// so snapshots carrying it keep adaptive consumers deterministic.
-    /// Recomputed only after a new wait sample invalidated the cache —
-    /// snapshots between flushes reuse the cached value.
     fn queue_wait_p95(&self) -> f64 {
-        if let Some(cached) = self.queue_wait_p95_cache.get() {
-            return cached;
+        let sorted = &self.queue_wait.sorted;
+        if sorted.is_empty() {
+            0.0
+        } else {
+            crate::quantile_sorted(sorted, 0.95)
         }
-        let p95 = crate::percentile(self.queue_wait.samples(), 95.0).unwrap_or(0.0);
-        self.queue_wait_p95_cache.set(Some(p95));
-        p95
     }
 
     /// Condenses the series into the end-of-run summary.
@@ -568,9 +603,8 @@ impl Telemetry {
             p95: 0.0,
             p99: 0.0,
         };
-        let pct = |ring: &RingBuffer| Percentiles::from_samples(ring.samples()).unwrap_or(zero);
-        let wait = pct(&self.queue_wait);
-        let decision = pct(&self.decision_seconds);
+        let wait = Percentiles::from_sorted(&self.queue_wait.sorted).unwrap_or(zero);
+        let decision = Percentiles::from_samples(self.decision_seconds.samples()).unwrap_or(zero);
         TelemetrySummary {
             arrivals: self.arrivals,
             activations: self.activations,
@@ -611,11 +645,11 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.last(), None);
         for x in [1.0, 2.0, 3.0] {
-            r.push(x);
+            assert_eq!(r.push(x), None);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.last(), Some(3.0));
-        r.push(4.0); // evicts 1.0
+        assert_eq!(r.push(4.0), Some(1.0));
         assert_eq!(r.len(), 3);
         assert_eq!(r.last(), Some(4.0));
         let mut s = r.samples().to_vec();
@@ -768,6 +802,46 @@ mod tests {
             snap.queue_wait_p95.to_bits(),
             t.summary().queue_wait_p95.to_bits()
         );
+    }
+
+    #[test]
+    fn sorted_window_matches_a_full_sort_bit_for_bit() {
+        // The window's quantiles must keep the bits of the full sort they
+        // replace. Waits mix zeros (and inputs clamped to zero), a few
+        // often repeated values, continuous values, and a run of equal
+        // values that straddles the first eviction.
+        let mut t = Telemetry::new();
+        let mut state: u64 = 0x2020;
+        let n = Telemetry::SAMPLE_CAPACITY * 4;
+        let run = Telemetry::SAMPLE_CAPACITY - 100..Telemetry::SAMPLE_CAPACITY + 300;
+        for i in 0..n {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 33;
+            let wait = if run.contains(&i) {
+                1.5
+            } else {
+                match r % 8 {
+                    0 | 1 => 0.0,
+                    2 => -0.25,
+                    3..=5 => (r % 5) as f64 * 0.125,
+                    _ => (r % 1_000_003) as f64 * 1e-4,
+                }
+            };
+            t.record_queue_wait(wait);
+            let reference = crate::percentile(t.queue_wait.ring.samples(), 95.0).unwrap_or(0.0);
+            assert_eq!(
+                t.snapshot(0.0, 0, None, None).queue_wait_p95.to_bits(),
+                reference.to_bits(),
+                "sample {i}"
+            );
+        }
+        let full = Percentiles::from_samples(t.queue_wait.ring.samples()).unwrap();
+        let s = t.summary();
+        assert_eq!(s.queue_wait_p50.to_bits(), full.p50.to_bits());
+        assert_eq!(s.queue_wait_p95.to_bits(), full.p95.to_bits());
+        assert_eq!(s.queue_wait_p99.to_bits(), full.p99.to_bits());
     }
 
     #[test]
